@@ -1,6 +1,7 @@
 #include "codec/encoding.h"
 
 #include <map>
+#include <unordered_map>
 
 #include "common/coding.h"
 
@@ -31,38 +32,42 @@ void EncodeInt64Rle(const std::vector<int64_t>& values, Bytes* dst) {
   }
 }
 
-void EncodeStringsPlain(const std::vector<std::string>& values, Bytes* dst) {
-  for (const std::string& s : values) {
-    PutLengthPrefixed(dst, std::string_view(s));
-  }
+void EncodeStringsPlain(const std::vector<std::string_view>& values,
+                        Bytes* dst) {
+  for (std::string_view s : values) PutLengthPrefixed(dst, s);
 }
 
-void EncodeStringsDict(const std::vector<std::string>& values, Bytes* dst) {
-  std::map<std::string, uint64_t> dict;
-  std::vector<const std::string*> ordered;
-  for (const std::string& s : values) {
-    if (dict.emplace(s, dict.size()).second) ordered.push_back(&s);
+void EncodeStringsDict(const std::vector<std::string_view>& values,
+                       Bytes* dst) {
+  // Dictionary entries are numbered in first-appearance order.
+  std::unordered_map<std::string_view, uint64_t> dict;
+  std::vector<std::string_view> ordered;
+  std::vector<uint64_t> codes;
+  codes.reserve(values.size());
+  for (std::string_view s : values) {
+    auto [it, added] = dict.emplace(s, dict.size());
+    if (added) ordered.push_back(s);
+    codes.push_back(it->second);
   }
-  // Re-number dictionary entries in first-appearance order for determinism.
-  // (map iteration is sorted; we stored first-appearance ids at insert time.)
   PutVarint64(dst, ordered.size());
-  for (const std::string* s : ordered) {
-    PutLengthPrefixed(dst, std::string_view(*s));
-  }
-  for (const std::string& s : values) {
-    PutVarint64(dst, dict[s]);
-  }
+  for (std::string_view s : ordered) PutLengthPrefixed(dst, s);
+  for (uint64_t code : codes) PutVarint64(dst, code);
 }
 
 void EncodeInt64Dict(const std::vector<int64_t>& values, Bytes* dst) {
-  std::map<int64_t, uint64_t> dict;
+  // Dictionary entries are numbered in first-appearance order.
+  std::unordered_map<int64_t, uint64_t> dict;
   std::vector<int64_t> ordered;
+  std::vector<uint64_t> codes;
+  codes.reserve(values.size());
   for (int64_t v : values) {
-    if (dict.emplace(v, dict.size()).second) ordered.push_back(v);
+    auto [it, added] = dict.emplace(v, dict.size());
+    if (added) ordered.push_back(v);
+    codes.push_back(it->second);
   }
   PutVarint64(dst, ordered.size());
   for (int64_t v : ordered) PutVarint64Signed(dst, v);
-  for (int64_t v : values) PutVarint64(dst, dict[v]);
+  for (uint64_t code : codes) PutVarint64(dst, code);
 }
 
 /// Shared header parse for both dict decode paths: reads the code stream into
@@ -229,8 +234,8 @@ Result<std::vector<double>> DecodeDoubles(ByteView data, size_t count) {
   return out;
 }
 
-void EncodeStrings(const std::vector<std::string>& values, Encoding encoding,
-                   Bytes* dst) {
+void EncodeStrings(const std::vector<std::string_view>& values,
+                   Encoding encoding, Bytes* dst) {
   switch (encoding) {
     case Encoding::kDict:
       EncodeStringsDict(values, dst);
@@ -290,7 +295,7 @@ Result<StringDictParts> DecodeStringDictParts(ByteView data, size_t count) {
   return parts;
 }
 
-Encoding ChooseStringEncoding(const std::vector<std::string>& values,
+Encoding ChooseStringEncoding(const std::vector<std::string_view>& values,
                               uint64_t ndv) {
   if (values.size() < 16) return Encoding::kPlain;
   // Dictionary pays off below ~1/4 distinct ratio. A precomputed distinct
@@ -299,7 +304,7 @@ Encoding ChooseStringEncoding(const std::vector<std::string>& values,
     return ndv * 4 <= values.size() ? Encoding::kDict : Encoding::kPlain;
   }
   std::map<std::string_view, int> distinct;
-  for (const std::string& s : values) {
+  for (std::string_view s : values) {
     distinct.emplace(s, 1);
     if (distinct.size() * 4 > values.size()) return Encoding::kPlain;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -50,8 +51,9 @@ void EncodeDoubles(const std::vector<double>& values, Bytes* dst);
 Result<std::vector<double>> DecodeDoubles(ByteView data, size_t count);
 
 // ---- string columns ----
-void EncodeStrings(const std::vector<std::string>& values, Encoding encoding,
-                   Bytes* dst);
+// Encoders take views so a writer can encode cells in place.
+void EncodeStrings(const std::vector<std::string_view>& values,
+                   Encoding encoding, Bytes* dst);
 Result<std::vector<std::string>> DecodeStrings(ByteView data,
                                                Encoding encoding,
                                                size_t count);
@@ -59,7 +61,7 @@ Result<std::vector<std::string>> DecodeStrings(ByteView data,
 Result<StringDictParts> DecodeStringDictParts(ByteView data, size_t count);
 /// Picks DICT when distinct values are few (provinces, urls), else PLAIN.
 /// `ndv != 0` (a precomputed distinct count) skips the sampling pass.
-Encoding ChooseStringEncoding(const std::vector<std::string>& values,
+Encoding ChooseStringEncoding(const std::vector<std::string_view>& values,
                               uint64_t ndv = 0);
 
 // ---- bool columns ----

@@ -1,7 +1,10 @@
 #include "format/lakefile.h"
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -16,7 +19,9 @@ constexpr char kMagic[4] = {'L', 'K', 'F', '1'};
 constexpr uint8_t kStatsMinMax = 1;
 constexpr uint8_t kStatsExtended = 2;
 
-void EncodeStats(Bytes* dst, const ColumnStats& stats) {
+}  // namespace
+
+void EncodeColumnStats(Bytes* dst, const ColumnStats& stats) {
   uint8_t flag = 0;
   if (stats.min.has_value() && stats.max.has_value()) flag |= kStatsMinMax;
   if (stats.has_extended) flag |= kStatsExtended;
@@ -34,7 +39,7 @@ void EncodeStats(Bytes* dst, const ColumnStats& stats) {
   }
 }
 
-Result<ColumnStats> DecodeStats(Decoder* dec) {
+Result<ColumnStats> DecodeColumnStats(Decoder* dec) {
   ColumnStats stats;
   if (dec->Remaining() < 1) return Status::Corruption("stats flag");
   uint8_t flag = *dec->position();
@@ -60,15 +65,154 @@ Result<ColumnStats> DecodeStats(Decoder* dec) {
   return stats;
 }
 
-/// Encodes one column of `rows` into a chunk appended to `file`.
+namespace {
+
+template <typename T>
+bool IsNan(T v) {
+  if constexpr (std::is_floating_point_v<T>) return std::isnan(v);
+  return false;
+}
+
+bool IsNanValue(const std::optional<Value>& v) {
+  return v.has_value() && std::holds_alternative<double>(*v) &&
+         std::isnan(std::get<double>(*v));
+}
+
+Value ToValue(uint8_t v) { return Value(v != 0); }
+Value ToValue(int64_t v) { return Value(v); }
+Value ToValue(double v) { return Value(v); }
+Value ToValue(std::string_view v) { return Value(std::string(v)); }
+
+/// Plain-encoded width of one value (the avg_width statistic).
+uint64_t PlainWidth(uint8_t) { return 1; }
+uint64_t PlainWidth(int64_t) { return 8; }
+uint64_t PlainWidth(double) { return 8; }
+uint64_t PlainWidth(std::string_view v) { return v.size(); }
+
+/// Column `col` of `rows` as typed values; NULL rows hold T's default.
+template <typename Cell, typename T = Cell>
+std::vector<T> TypedValues(const std::vector<Row>& rows, size_t col,
+                           const std::vector<uint8_t>& nulls) {
+  std::vector<T> vals(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!nulls[i]) vals[i] = std::get<Cell>(rows[i].fields[col]);
+  }
+  return vals;
+}
+
+/// One chunk's non-NULL values folded in row order under CompareValues:
+/// min/max keep the first of equal values (-0.0 vs 0.0), and NaN, equal to
+/// everything, decides min, max and NDV only as the first value.
+template <typename T>
+struct ChunkSummary {
+  std::optional<T> first;     // first non-NULL value
+  std::optional<T> min, max;  // over the non-NaN values
+  std::vector<T> distinct;    // sorted, unique, NaN-free
+  uint64_t non_null = 0;
+  uint64_t width = 0;  // plain-encoded bytes of the non-NULL values
+
+  bool leading_nan() const { return first.has_value() && IsNan(*first); }
+  Value min_value() const { return ToValue(leading_nan() ? *first : *min); }
+  Value max_value() const { return ToValue(leading_nan() ? *first : *max); }
+  uint64_t ndv() const { return leading_nan() ? 1 : distinct.size(); }
+};
+
+template <typename T>
+ChunkSummary<T> Summarize(const std::vector<T>& vals,
+                          const std::vector<uint8_t>& nulls) {
+  ChunkSummary<T> s;
+  s.distinct.reserve(vals.size());
+  for (size_t i = 0; i < vals.size(); ++i) {
+    if (nulls[i]) continue;
+    const T v = vals[i];
+    if (!s.first.has_value()) s.first = v;
+    ++s.non_null;
+    s.width += PlainWidth(v);
+    if (IsNan(v)) continue;
+    if (!s.min.has_value() || v < *s.min) s.min = v;
+    if (!s.max.has_value() || *s.max < v) s.max = v;
+    s.distinct.push_back(v);
+  }
+  std::sort(s.distinct.begin(), s.distinct.end());
+  s.distinct.erase(std::unique(s.distinct.begin(), s.distinct.end()),
+                   s.distinct.end());
+  return s;
+}
+
+/// Merges a chunk's sorted distinct values into the file's owned, sorted
+/// distinct set; returns the merged size.
+template <typename Owned, typename T>
+uint64_t MergeDistinct(const std::vector<T>& chunk, ColumnData* file) {
+  if (!std::holds_alternative<std::vector<Owned>>(*file)) {
+    file->emplace<std::vector<Owned>>();
+  }
+  auto& have = std::get<std::vector<Owned>>(*file);
+  const std::vector<Owned> added(chunk.begin(), chunk.end());
+  std::vector<Owned> merged;
+  std::set_union(std::make_move_iterator(have.begin()),
+                 std::make_move_iterator(have.end()), added.begin(),
+                 added.end(), std::back_inserter(merged));
+  have = std::move(merged);
+  return have.size();
+}
+
+/// The one statistics pass of a chunk: fills its footer stats when enabled
+/// (bool chunks carry no min/max) and folds it into the column's file stats,
+/// which then equal one in-order pass over the file's rows. The only group
+/// of a file (`keep_distinct` false) hands over its NDV without copying
+/// values. Returns the chunk's NDV for the encoding choice.
+template <typename Owned, typename T>
+uint64_t ChunkStats(const std::vector<T>& vals,
+                    const std::vector<uint8_t>& nulls,
+                    const LakeFileOptions& options, bool keep_distinct,
+                    FileColumnStats* file, ColumnStats* chunk) {
+  const ChunkSummary<T> s = Summarize(vals, nulls);
+  const uint64_t null_count = vals.size() - s.non_null;
+  if (options.enable_stats) {
+    if (!std::is_same_v<T, uint8_t> && s.non_null > 0) {
+      chunk->min = s.min_value();
+      chunk->max = s.max_value();
+    }
+    chunk->has_extended = true;
+    chunk->null_count = null_count;
+    chunk->ndv = s.ndv();
+    chunk->avg_width = s.non_null > 0 ? static_cast<double>(s.width) /
+                                            static_cast<double>(s.non_null)
+                                      : 0.0;
+  }
+
+  ColumnStats& fs = file->stats;
+  fs.null_count += null_count;
+  file->total_width += s.width;
+  if (s.non_null > 0 && !fs.min.has_value()) {
+    fs.min = s.min_value();
+    fs.max = s.max_value();
+  } else if (s.min.has_value() && !IsNanValue(fs.min)) {
+    Value mn = ToValue(*s.min);
+    if (CompareValues(mn, *fs.min) < 0) fs.min = std::move(mn);
+    Value mx = ToValue(*s.max);
+    if (CompareValues(mx, *fs.max) > 0) fs.max = std::move(mx);
+  }
+  if (!keep_distinct) {
+    fs.ndv = s.ndv();
+  } else {
+    const uint64_t merged = MergeDistinct<Owned>(s.distinct, &file->distinct);
+    fs.ndv = IsNanValue(fs.min) ? 1 : merged;
+  }
+  return s.ndv();
+}
+
+/// Encodes one column of `rows` into a chunk appended to `file` and folds
+/// its statistics into `file_column`.
 ///
 /// The chunk's raw payload is `[null_count][null bitmap iff null_count > 0]
 /// [encoded values]` where NULL rows carry the type's default in the value
-/// stream. Stats (null count, exact NDV, average width, min/max over
-/// non-NULLs) are computed first so the encoding choice can use the distinct
+/// stream. Stats come first so the encoding choice can use the distinct
 /// count instead of re-sampling.
 ChunkMeta WriteChunk(const Schema& schema, const std::vector<Row>& rows,
-                     size_t col, const LakeFileOptions& options, Bytes* file) {
+                     size_t col, const LakeFileOptions& options,
+                     bool keep_distinct, FileColumnStats* file_column,
+                     Bytes* file) {
   ChunkMeta meta;
   meta.offset = file->size();
 
@@ -85,107 +229,42 @@ ChunkMeta WriteChunk(const Schema& schema, const std::vector<Row>& rows,
   PutVarint64(&raw, null_count);
   if (null_count > 0) codec::EncodeBools(nulls, &raw);
 
-  uint64_t ndv = 0;
-  double total_width = 0.0;
   codec::Encoding encoding = codec::Encoding::kPlain;
-  const DataType type = schema.field(col).type;
-  switch (type) {
+  switch (schema.field(col).type) {
     case DataType::kBool: {
-      std::vector<uint8_t> vals;
-      vals.reserve(rows.size());
-      std::set<uint8_t> distinct;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        uint8_t v = nulls[i] ? 0 : (std::get<bool>(rows[i].fields[col]) ? 1 : 0);
-        vals.push_back(v);
-        if (!nulls[i]) distinct.insert(v);
-      }
-      ndv = distinct.size();
-      total_width = static_cast<double>(rows.size() - null_count);
+      const auto vals = TypedValues<bool, uint8_t>(rows, col, nulls);
+      ChunkStats<uint8_t>(vals, nulls, options, keep_distinct, file_column,
+                          &meta.stats);
       encoding = codec::Encoding::kBitPack;
       codec::EncodeBools(vals, &raw);
       break;
     }
     case DataType::kInt64: {
-      std::vector<int64_t> vals;
-      vals.reserve(rows.size());
-      std::set<int64_t> distinct;
-      std::optional<int64_t> mn, mx;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        int64_t v = nulls[i] ? 0 : std::get<int64_t>(rows[i].fields[col]);
-        vals.push_back(v);
-        if (nulls[i]) continue;
-        distinct.insert(v);
-        mn = mn ? std::min(*mn, v) : v;
-        mx = mx ? std::max(*mx, v) : v;
-      }
-      ndv = distinct.size();
-      total_width = 8.0 * static_cast<double>(rows.size() - null_count);
-      encoding = codec::ChooseInt64Encoding(vals, ndv);
+      const auto vals = TypedValues<int64_t>(rows, col, nulls);
+      encoding = codec::ChooseInt64Encoding(
+          vals, ChunkStats<int64_t>(vals, nulls, options, keep_distinct,
+                                    file_column, &meta.stats));
       codec::EncodeInt64s(vals, encoding, &raw);
-      if (options.enable_stats && mn.has_value()) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
       break;
     }
     case DataType::kDouble: {
-      std::vector<double> vals;
-      vals.reserve(rows.size());
-      std::set<double> distinct;
-      std::optional<double> mn, mx;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        double v = nulls[i] ? 0.0 : std::get<double>(rows[i].fields[col]);
-        vals.push_back(v);
-        if (nulls[i]) continue;
-        distinct.insert(v);
-        mn = mn ? std::min(*mn, v) : v;
-        mx = mx ? std::max(*mx, v) : v;
-      }
-      ndv = distinct.size();
-      total_width = 8.0 * static_cast<double>(rows.size() - null_count);
+      const auto vals = TypedValues<double>(rows, col, nulls);
+      ChunkStats<double>(vals, nulls, options, keep_distinct, file_column,
+                         &meta.stats);
       codec::EncodeDoubles(vals, &raw);
-      if (options.enable_stats && mn.has_value()) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
       break;
     }
     case DataType::kString: {
-      std::vector<std::string> vals;
-      vals.reserve(rows.size());
-      std::set<std::string_view> distinct;
-      const std::string* mn = nullptr;
-      const std::string* mx = nullptr;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        vals.push_back(nulls[i] ? std::string()
-                                : std::get<std::string>(rows[i].fields[col]));
-      }
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (nulls[i]) continue;
-        distinct.insert(vals[i]);
-        total_width += static_cast<double>(vals[i].size());
-        if (mn == nullptr || vals[i] < *mn) mn = &vals[i];
-        if (mx == nullptr || vals[i] > *mx) mx = &vals[i];
-      }
-      ndv = distinct.size();
-      encoding = codec::ChooseStringEncoding(vals, ndv);
+      const auto vals =
+          TypedValues<std::string, std::string_view>(rows, col, nulls);
+      encoding = codec::ChooseStringEncoding(
+          vals, ChunkStats<std::string>(vals, nulls, options, keep_distinct,
+                                        file_column, &meta.stats));
       codec::EncodeStrings(vals, encoding, &raw);
-      if (options.enable_stats && mn != nullptr) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
       break;
     }
     case DataType::kNull:
       break;  // schemas never carry kNull fields
-  }
-  if (options.enable_stats) {
-    meta.stats.has_extended = true;
-    meta.stats.null_count = null_count;
-    meta.stats.ndv = ndv;
-    const uint64_t non_null = rows.size() - null_count;
-    meta.stats.avg_width =
-        non_null > 0 ? total_width / static_cast<double>(non_null) : 0.0;
   }
 
   Bytes compressed = codec::Compress(options.compression, ByteView(raw));
@@ -210,7 +289,9 @@ ChunkMeta WriteChunk(const Schema& schema, const std::vector<Row>& rows,
 }  // namespace
 
 LakeFileWriter::LakeFileWriter(Schema schema, LakeFileOptions options)
-    : schema_(std::move(schema)), options_(options) {
+    : schema_(std::move(schema)),
+      options_(options),
+      file_columns_(schema_.num_fields()) {
   file_.insert(file_.end(), kMagic, kMagic + 4);
 }
 
@@ -220,7 +301,7 @@ Status LakeFileWriter::Append(const Row& row) {
   pending_.push_back(row);
   ++rows_written_;
   if (pending_.size() >= options_.rows_per_group) {
-    return FlushRowGroup();
+    return FlushRowGroup(/*last=*/false);
   }
   return Status::OK();
 }
@@ -230,13 +311,17 @@ Status LakeFileWriter::AppendBatch(const std::vector<Row>& rows) {
   return Status::OK();
 }
 
-Status LakeFileWriter::FlushRowGroup() {
+Status LakeFileWriter::FlushRowGroup(bool last) {
   if (pending_.empty()) return Status::OK();
   RowGroupMeta group;
   group.num_rows = pending_.size();
+  // The only group of a file needs no file-level distinct set: its chunk
+  // NDV is the file's.
+  const bool keep_distinct = !(last && groups_.empty());
   for (size_t col = 0; col < schema_.num_fields(); ++col) {
-    group.columns.push_back(
-        WriteChunk(schema_, pending_, col, options_, &file_));
+    group.columns.push_back(WriteChunk(schema_, pending_, col, options_,
+                                       keep_distinct, &file_columns_[col],
+                                       &file_));
   }
   groups_.push_back(std::move(group));
   pending_.clear();
@@ -245,8 +330,19 @@ Status LakeFileWriter::FlushRowGroup() {
 
 Result<Bytes> LakeFileWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
-  SL_RETURN_NOT_OK(FlushRowGroup());
+  SL_RETURN_NOT_OK(FlushRowGroup(/*last=*/true));
   finished_ = true;
+  for (size_t c = 0; rows_written_ > 0 && c < file_columns_.size(); ++c) {
+    ColumnStats& stats = file_columns_[c].stats;
+    stats.has_extended = true;
+    const uint64_t non_null = rows_written_ - stats.null_count;
+    stats.avg_width = non_null > 0
+                          ? static_cast<double>(file_columns_[c].total_width) /
+                                static_cast<double>(non_null)
+                          : 0.0;
+    file_stats_[schema_.field(c).name] = std::move(stats);
+  }
+  file_columns_.clear();
 
   Bytes footer;
   schema_.EncodeTo(&footer);
@@ -256,7 +352,7 @@ Result<Bytes> LakeFileWriter::Finish() {
     for (const ChunkMeta& chunk : group.columns) {
       PutVarint64(&footer, chunk.offset);
       PutVarint64(&footer, chunk.size);
-      EncodeStats(&footer, chunk.stats);
+      EncodeColumnStats(&footer, chunk.stats);
     }
   }
   AppendBytes(&file_, ByteView(footer));
@@ -304,7 +400,7 @@ Result<LakeFileReader> LakeFileReader::Open(Bytes file) {
       if (chunk.offset + chunk.size > file.size()) {
         return Status::Corruption("lakefile: chunk out of bounds");
       }
-      SL_ASSIGN_OR_RETURN(chunk.stats, DecodeStats(&dec));
+      SL_ASSIGN_OR_RETURN(chunk.stats, DecodeColumnStats(&dec));
       group.columns.push_back(std::move(chunk));
     }
     groups.push_back(std::move(group));
@@ -446,39 +542,14 @@ Result<ColumnData> LakeFileReader::ReadColumn(size_t group,
   if (!chunk.dict_view) return std::move(chunk.values);
   // Expand dictionary codes into plain values (NULL rows already carry the
   // dictionary entry their default code points at).
-  switch (chunk.type) {
-    case DataType::kBool: {
-      std::vector<uint8_t> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<uint8_t>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kInt64: {
-      std::vector<int64_t> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<int64_t>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kDouble: {
-      std::vector<double> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<double>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kString: {
-      std::vector<std::string> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<std::string>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kNull:
-      break;
-  }
-  return Status::Corruption("chunk: unknown column type");
+  return std::visit(
+      [&chunk](const auto& dict) {
+        std::decay_t<decltype(dict)> vals;
+        vals.reserve(chunk.codes.size());
+        for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
+        return ColumnData(std::move(vals));
+      },
+      chunk.dict);
 }
 
 Result<std::vector<Row>> LakeFileReader::ReadRowGroup(size_t group) const {

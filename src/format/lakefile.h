@@ -1,7 +1,9 @@
 #ifndef STREAMLAKE_FORMAT_LAKEFILE_H_
 #define STREAMLAKE_FORMAT_LAKEFILE_H_
 
+#include <map>
 #include <optional>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -41,6 +43,11 @@ struct ColumnStats {
   uint64_t ndv = 0;       // exact distinct non-NULL values in the chunk
   double avg_width = 0.0;  // mean plain-encoded width of non-NULL values
 };
+
+/// The persisted stats encoding, shared by LakeFile footers and catalog
+/// file entries.
+void EncodeColumnStats(Bytes* dst, const ColumnStats& stats);
+Result<ColumnStats> DecodeColumnStats(Decoder* dec);
 
 struct ChunkMeta {
   uint64_t offset = 0;  // file offset of the chunk
@@ -82,8 +89,18 @@ struct ColumnChunkData {
   Value ValueAt(size_t row) const;
 };
 
+/// Running file-level statistics of one column, folded in by the writer
+/// chunk by chunk.
+struct FileColumnStats {
+  ColumnStats stats;         // min/max, null_count, ndv so far
+  uint64_t total_width = 0;  // plain-encoded bytes of the non-NULL values
+  ColumnData distinct;       // sorted distinct non-NaN values so far
+};
+
 /// Streaming writer; buffer rows, cut a row group every rows_per_group,
-/// Finish() returns the complete file bytes.
+/// Finish() returns the complete file bytes. The writer is the single
+/// source of column statistics: one typed pass per chunk yields the chunk's
+/// footer stats and folds the chunk into the file-level stats.
 class LakeFileWriter {
  public:
   LakeFileWriter(Schema schema, LakeFileOptions options = LakeFileOptions());
@@ -97,14 +114,25 @@ class LakeFileWriter {
   /// be reused afterwards.
   Result<Bytes> Finish();
 
+  /// File-level stats by column name, valid after Finish(); empty when no
+  /// rows were written. Computed whether or not `enable_stats` is set, they
+  /// equal one in-order pass over all rows under CompareValues (bool
+  /// columns get the min/max their chunk stats omit).
+  const std::map<std::string, ColumnStats>& file_stats() const {
+    return file_stats_;
+  }
+
  private:
-  Status FlushRowGroup();
+  /// `last` is the flush from Finish().
+  Status FlushRowGroup(bool last);
 
   Schema schema_;
   LakeFileOptions options_;
   std::vector<Row> pending_;
   Bytes file_;
   std::vector<RowGroupMeta> groups_;
+  std::vector<FileColumnStats> file_columns_;
+  std::map<std::string, ColumnStats> file_stats_;
   uint64_t rows_written_ = 0;
   bool finished_ = false;
 };

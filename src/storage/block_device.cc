@@ -23,12 +23,20 @@ Status BlockDevice::Write(uint64_t offset, ByteView data) {
     MutexLock lock(&mu_);
     uint64_t pos = 0;
     while (pos < data.size()) {
-      uint64_t page = (offset + pos) / kPageSize;
-      uint64_t in_page = (offset + pos) % kPageSize;
-      uint64_t len = std::min<uint64_t>(kPageSize - in_page, data.size() - pos);
-      Bytes& storage = pages_[page];
-      if (storage.size() < in_page + len) storage.resize(kPageSize);
-      std::memcpy(storage.data() + in_page, data.data() + pos, len);
+      uint64_t region = (offset + pos) / kRegionSize;
+      uint64_t in_region = (offset + pos) % kRegionSize;
+      uint64_t len =
+          std::min<uint64_t>(kRegionSize - in_region, data.size() - pos);
+      Bytes& storage = regions_[region];
+      const uint64_t end =
+          (in_region + len + kPageSize - 1) / kPageSize * kPageSize;
+      if (storage.size() < end) {
+        // Grow geometrically, but never past the region.
+        storage.reserve(
+            std::min(kRegionSize, std::max<uint64_t>(end, 2 * storage.size())));
+        storage.resize(end);
+      }
+      std::memcpy(storage.data() + in_region, data.data() + pos, len);
       pos += len;
     }
   }
@@ -49,14 +57,15 @@ Result<Bytes> BlockDevice::Read(uint64_t offset, uint64_t length) const {
     MutexLock lock(&mu_);
     uint64_t pos = 0;
     while (pos < length) {
-      uint64_t page = (offset + pos) / kPageSize;
-      uint64_t in_page = (offset + pos) % kPageSize;
-      uint64_t len = std::min<uint64_t>(kPageSize - in_page, length - pos);
-      auto it = pages_.find(page);
-      if (it != pages_.end()) {
-        std::memcpy(out.data() + pos, it->second.data() + in_page, len);
+      uint64_t region = (offset + pos) / kRegionSize;
+      uint64_t in_region = (offset + pos) % kRegionSize;
+      uint64_t len = std::min<uint64_t>(kRegionSize - in_region, length - pos);
+      auto it = regions_.find(region);
+      if (it != regions_.end() && it->second.size() > in_region) {
+        std::memcpy(out.data() + pos, it->second.data() + in_region,
+                    std::min<uint64_t>(len, it->second.size() - in_region));
       }
-      // Unwritten pages read back as zeros (thin provisioning).
+      // Unwritten bytes read back as zeros (thin provisioning).
       pos += len;
     }
   }
@@ -66,8 +75,15 @@ Result<Bytes> BlockDevice::Read(uint64_t offset, uint64_t length) const {
 
 void BlockDevice::Reset() {
   MutexLock lock(&mu_);
-  pages_.clear();
+  regions_.clear();
   failed_.store(false);
+}
+
+uint64_t BlockDevice::resident_bytes() const {
+  MutexLock lock(&mu_);
+  uint64_t bytes = 0;
+  for (const auto& [region, storage] : regions_) bytes += storage.capacity();
+  return bytes;
 }
 
 }  // namespace streamlake::storage

@@ -40,13 +40,23 @@ class BlockDevice {
   /// Wipe contents (models disk replacement after failure).
   void Reset();
 
+  /// Host memory allocated for the disk's contents. Simulated I/O charges
+  /// never depend on it.
+  uint64_t resident_bytes() const;
+
   const sim::DeviceModel& device_model() const { return model_; }
   sim::DeviceModel* mutable_device_model() { return &model_; }
 
  private:
-  // Contents are stored sparsely in fixed pages: a fresh 16 TB disk costs
-  // nothing until written, and writes at high extent offsets stay O(size).
-  static constexpr uint64_t kPageSize = 64 * 1024;
+  // Contents are stored sparsely, one buffer per 64 KiB region: a fresh
+  // 16 TB disk costs nothing until written, and writes at high extent
+  // offsets stay O(size). A region's buffer runs from the region start to
+  // its last written byte, rounded up to a 4 KiB page, so a small append to
+  // a fresh extent holds a page of host memory, not a whole region, while a
+  // filled region stays one contiguous buffer that reads copy at memory
+  // speed (separate 4 KiB buffers read about a third slower).
+  static constexpr uint64_t kRegionSize = 64 * 1024;
+  static constexpr uint64_t kPageSize = 4 * 1024;
 
   uint32_t id_;
   uint32_t node_id_;
@@ -55,8 +65,8 @@ class BlockDevice {
   mutable sim::DeviceModel model_;
   std::atomic<bool> failed_{false};
   mutable Mutex mu_{LockRank::kBlockDevice, "storage.block_device"};
-  std::unordered_map<uint64_t, Bytes> pages_
-      GUARDED_BY(mu_);  // page index -> kPageSize bytes
+  std::unordered_map<uint64_t, Bytes> regions_
+      GUARDED_BY(mu_);  // region index -> written prefix, whole pages
 };
 
 }  // namespace streamlake::storage

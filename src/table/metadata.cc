@@ -4,55 +4,6 @@
 
 namespace streamlake::table {
 
-namespace {
-
-// Stats flag bits; mirrors the LakeFile footer codec (append-only).
-constexpr uint8_t kStatsMinMax = 1;
-constexpr uint8_t kStatsExtended = 2;
-
-void EncodeStats(Bytes* dst, const format::ColumnStats& stats) {
-  uint8_t flag = 0;
-  if (stats.min.has_value() && stats.max.has_value()) flag |= kStatsMinMax;
-  if (stats.has_extended) flag |= kStatsExtended;
-  dst->push_back(flag);
-  if (flag & kStatsMinMax) {
-    format::EncodeValue(dst, *stats.min);
-    format::EncodeValue(dst, *stats.max);
-  }
-  if (flag & kStatsExtended) {
-    PutVarint64(dst, stats.null_count);
-    PutVarint64(dst, stats.ndv);
-    uint64_t bits;
-    std::memcpy(&bits, &stats.avg_width, 8);
-    PutFixed64(dst, bits);
-  }
-}
-
-Result<format::ColumnStats> DecodeStats(Decoder* dec) {
-  format::ColumnStats stats;
-  if (dec->Remaining() < 1) return Status::Corruption("stats flag");
-  uint8_t flag = *dec->position();
-  dec->Skip(1);
-  if (flag & kStatsMinMax) {
-    SL_ASSIGN_OR_RETURN(format::Value min, format::DecodeValue(dec));
-    SL_ASSIGN_OR_RETURN(format::Value max, format::DecodeValue(dec));
-    stats.min = std::move(min);
-    stats.max = std::move(max);
-  }
-  if (flag & kStatsExtended) {
-    stats.has_extended = true;
-    uint64_t bits;
-    if (!dec->GetVarint(&stats.null_count) || !dec->GetVarint(&stats.ndv) ||
-        !dec->GetFixed64(&bits)) {
-      return Status::Corruption("stats: extended");
-    }
-    std::memcpy(&stats.avg_width, &bits, 8);
-  }
-  return stats;
-}
-
-}  // namespace
-
 // ---------------- PartitionSpec ----------------
 
 Result<std::string> PartitionSpec::PartitionOf(const format::Schema& schema,
@@ -111,7 +62,7 @@ void DataFileMeta::EncodeTo(Bytes* dst) const {
   PutVarint64(dst, column_stats.size());
   for (const auto& [column, stats] : column_stats) {
     PutLengthPrefixed(dst, std::string_view(column));
-    EncodeStats(dst, stats);
+    format::EncodeColumnStats(dst, stats);
   }
 }
 
@@ -127,7 +78,8 @@ Result<DataFileMeta> DataFileMeta::DecodeFrom(Decoder* dec) {
   for (uint64_t i = 0; i < num_stats; ++i) {
     std::string column;
     if (!dec->GetString(&column)) return Status::Corruption("stats column");
-    SL_ASSIGN_OR_RETURN(format::ColumnStats stats, DecodeStats(dec));
+    SL_ASSIGN_OR_RETURN(format::ColumnStats stats,
+                        format::DecodeColumnStats(dec));
     meta.column_stats[column] = std::move(stats);
   }
   return meta;

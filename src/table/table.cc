@@ -13,53 +13,20 @@ namespace streamlake::table {
 
 namespace {
 
-/// File-level stats of every column of `rows`: min/max over non-NULL
-/// values plus the extended null_count / ndv / avg_width triple that
-/// file pruning and LakeBrain's priors consume.
-std::map<std::string, format::ColumnStats> ComputeStats(
-    const format::Schema& schema, const std::vector<format::Row>& rows) {
-  std::map<std::string, format::ColumnStats> stats;
-  if (rows.empty()) return stats;
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    format::ColumnStats s;
-    s.has_extended = true;
-    std::set<format::Value> distinct;
-    double total_width = 0.0;
-    for (const format::Row& row : rows) {
-      const format::Value& v = row.fields[c];
-      if (format::IsNull(v)) {
-        ++s.null_count;
-        continue;
-      }
-      if (!s.min.has_value() || format::CompareValues(v, *s.min) < 0) {
-        s.min = v;
-      }
-      if (!s.max.has_value() || format::CompareValues(v, *s.max) > 0) {
-        s.max = v;
-      }
-      distinct.insert(v);
-      switch (schema.field(c).type) {
-        case format::DataType::kBool:
-          total_width += 1.0;
-          break;
-        case format::DataType::kInt64:
-        case format::DataType::kDouble:
-          total_width += 8.0;
-          break;
-        case format::DataType::kString:
-          total_width += static_cast<double>(std::get<std::string>(v).size());
-          break;
-        case format::DataType::kNull:
-          break;  // unreachable: schemas never carry kNull fields
-      }
-    }
-    s.ndv = distinct.size();
-    uint64_t non_null = rows.size() - s.null_count;
-    s.avg_width = non_null > 0 ? total_width / static_cast<double>(non_null)
-                               : 0.0;
-    stats[schema.field(c).name] = std::move(s);
-  }
-  return stats;
+/// Publishes the decode accounting of one Select/ScanInto call.
+void RecordDecodeCounters(const SelectMetrics& call) {
+  static Counter* bytes_decoded =
+      MetricsRegistry::Global().GetCounter("table.select.bytes_decoded");
+  static Counter* columns_decoded =
+      MetricsRegistry::Global().GetCounter("table.select.columns_decoded");
+  static Counter* rows_materialized =
+      MetricsRegistry::Global().GetCounter("table.select.rows_materialized");
+  static Counter* dict_code_prunes =
+      MetricsRegistry::Global().GetCounter("table.select.dict_code_prunes");
+  bytes_decoded->Increment(call.bytes_decoded);
+  columns_decoded->Increment(call.columns_decoded);
+  rows_materialized->Increment(call.rows_materialized);
+  dict_code_prunes->Increment(call.dict_code_prunes);
 }
 
 /// Columns a Select must materialize: group-by + aggregate inputs, or the
@@ -162,6 +129,22 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
 
 }  // namespace
 
+SelectMetrics& SelectMetrics::operator+=(const SelectMetrics& part) {
+  files_scanned += part.files_scanned;
+  files_skipped += part.files_skipped;
+  row_groups_scanned += part.row_groups_scanned;
+  row_groups_skipped += part.row_groups_skipped;
+  data_bytes_read += part.data_bytes_read;
+  data_bytes_skipped += part.data_bytes_skipped;
+  bytes_to_compute += part.bytes_to_compute;
+  peak_memory_bytes = std::max(peak_memory_bytes, part.peak_memory_bytes);
+  bytes_decoded += part.bytes_decoded;
+  columns_decoded += part.columns_decoded;
+  rows_materialized += part.rows_materialized;
+  dict_code_prunes += part.dict_code_prunes;
+  return *this;
+}
+
 Table::Table(std::string name, MetadataStore* meta,
              storage::ObjectStore* objects, sim::SimClock* clock,
              sim::NetworkModel* compute_link, TableOptions options,
@@ -194,12 +177,16 @@ Result<DataFileMeta> Table::WriteDataFile(const TableInfo& info,
   meta.partition = partition;
   meta.record_count = rows.size();
   meta.file_bytes = file.size();
-  meta.column_stats = ComputeStats(info.schema, rows);
+  meta.column_stats = writer.file_stats();
+  // The name is unique without a catalog write: the sequence separates the
+  // files of this Table object, and the caller's next_commit_seq separates
+  // them from every committed file, whose name was drawn under a smaller
+  // next_commit_seq (before a restart or by another Table object too).
   std::string dir = partition.empty() ? "" : partition + "/";
   meta.path = info.path + "/data/" + dir + "f-" +
               std::to_string(info.table_id) + "-" +
-              std::to_string(clock_->NowNanos()) + "-" +
-              std::to_string(reinterpret_cast<uintptr_t>(&meta) & 0xFFFF);
+              std::to_string(info.next_commit_seq) + "-" +
+              std::to_string(next_file_seq_.fetch_add(1));
   SL_RETURN_NOT_OK(objects_->Write(meta.path, ByteView(file)));
   return meta;
 }
@@ -548,31 +535,10 @@ Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
   // merge — so the result is byte-identical to the serial path.
   for (ScanJob& job : jobs) {
     SL_RETURN_NOT_OK(job.status);
-    m->files_scanned += job.metrics.files_scanned;
-    m->row_groups_scanned += job.metrics.row_groups_scanned;
-    m->row_groups_skipped += job.metrics.row_groups_skipped;
-    m->data_bytes_read += job.metrics.data_bytes_read;
-    m->bytes_to_compute += job.metrics.bytes_to_compute;
-    m->bytes_decoded += job.metrics.bytes_decoded;
-    m->columns_decoded += job.metrics.columns_decoded;
-    m->rows_materialized += job.metrics.rows_materialized;
-    m->dict_code_prunes += job.metrics.dict_code_prunes;
-    m->peak_memory_bytes =
-        std::max(m->peak_memory_bytes, job.metrics.peak_memory_bytes);
+    *m += job.metrics;
     SL_RETURN_NOT_OK(executor.MergeFrom(std::move(*job.executor)));
   }
-  static Counter* bytes_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.bytes_decoded");
-  static Counter* columns_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.columns_decoded");
-  static Counter* rows_materialized =
-      MetricsRegistry::Global().GetCounter("table.select.rows_materialized");
-  static Counter* dict_code_prunes =
-      MetricsRegistry::Global().GetCounter("table.select.dict_code_prunes");
-  bytes_decoded->Increment(m->bytes_decoded);
-  columns_decoded->Increment(m->columns_decoded);
-  rows_materialized->Increment(m->rows_materialized);
-  dict_code_prunes->Increment(m->dict_code_prunes);
+  RecordDecodeCounters(*m);
   SL_ASSIGN_OR_RETURN(query::QueryResult result, executor.Finalize());
   m->metadata = MetadataCounters::Capture() - metadata_start;
   m->elapsed_ns = clock_->NowNanos() - start_ns;
@@ -965,39 +931,10 @@ Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
     SL_RETURN_NOT_OK(job.status);
     totals.rows_scanned += job.totals.rows_scanned;
     totals.rows_matched += job.totals.rows_matched;
-    delta.files_scanned += job.metrics.files_scanned;
-    delta.row_groups_scanned += job.metrics.row_groups_scanned;
-    delta.row_groups_skipped += job.metrics.row_groups_skipped;
-    delta.data_bytes_read += job.metrics.data_bytes_read;
-    delta.bytes_to_compute += job.metrics.bytes_to_compute;
-    delta.bytes_decoded += job.metrics.bytes_decoded;
-    delta.columns_decoded += job.metrics.columns_decoded;
-    delta.rows_materialized += job.metrics.rows_materialized;
-    delta.dict_code_prunes += job.metrics.dict_code_prunes;
-    m->peak_memory_bytes =
-        std::max(m->peak_memory_bytes, job.metrics.peak_memory_bytes);
+    delta += job.metrics;
   }
-  m->files_scanned += delta.files_scanned;
-  m->row_groups_scanned += delta.row_groups_scanned;
-  m->row_groups_skipped += delta.row_groups_skipped;
-  m->data_bytes_read += delta.data_bytes_read;
-  m->bytes_to_compute += delta.bytes_to_compute;
-  m->bytes_decoded += delta.bytes_decoded;
-  m->columns_decoded += delta.columns_decoded;
-  m->rows_materialized += delta.rows_materialized;
-  m->dict_code_prunes += delta.dict_code_prunes;
-  static Counter* bytes_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.bytes_decoded");
-  static Counter* columns_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.columns_decoded");
-  static Counter* rows_materialized =
-      MetricsRegistry::Global().GetCounter("table.select.rows_materialized");
-  static Counter* dict_code_prunes =
-      MetricsRegistry::Global().GetCounter("table.select.dict_code_prunes");
-  bytes_decoded->Increment(delta.bytes_decoded);
-  columns_decoded->Increment(delta.columns_decoded);
-  rows_materialized->Increment(delta.rows_materialized);
-  dict_code_prunes->Increment(delta.dict_code_prunes);
+  *m += delta;
+  RecordDecodeCounters(delta);
   return totals;
 }
 

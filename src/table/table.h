@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_TABLE_TABLE_H_
 #define STREAMLAKE_TABLE_TABLE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,6 +76,11 @@ struct SelectMetrics {
   uint64_t columns_decoded = 0;    // column chunks decoded
   uint64_t rows_materialized = 0;  // rows materialized after selection
   uint64_t dict_code_prunes = 0;   // groups short-circuited in code space
+
+  /// Adds another part of the query (a scan job): counters add, peak memory
+  /// takes the max. `metadata` and `elapsed_ns` span the whole query and
+  /// are left alone.
+  SelectMetrics& operator+=(const SelectMetrics& part);
 };
 
 struct CompactionResult {
@@ -316,6 +322,8 @@ class Table {
   mutable Mutex access_mu_ ACQUIRED_AFTER(commit_mu_){
       LockRank::kTableAccess, "table.access"};
   std::map<std::string, uint64_t> partition_access_ GUARDED_BY(access_mu_);
+  // Per-object part of data-file names (see WriteDataFile).
+  std::atomic<uint64_t> next_file_seq_{0};
 };
 
 }  // namespace streamlake::table

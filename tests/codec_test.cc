@@ -155,9 +155,11 @@ TEST(StringEncodingTest, PlainAndDictRoundTrip) {
   for (int i = 0; i < 500; ++i) {
     provinces.push_back(kNames[rng.Uniform(kNames.size())]);
   }
+  const std::vector<std::string_view> views(provinces.begin(),
+                                            provinces.end());
   for (Encoding e : {Encoding::kPlain, Encoding::kDict}) {
     Bytes buf;
-    EncodeStrings(provinces, e, &buf);
+    EncodeStrings(views, e, &buf);
     auto decoded = DecodeStrings(ByteView(buf), e, provinces.size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(*decoded, provinces);
@@ -165,7 +167,7 @@ TEST(StringEncodingTest, PlainAndDictRoundTrip) {
 }
 
 TEST(StringEncodingTest, DictMuchSmallerForLowCardinality) {
-  std::vector<std::string> vals(2000, "http://streamlake_fin_app.com");
+  std::vector<std::string_view> vals(2000, "http://streamlake_fin_app.com");
   Bytes plain, dict;
   EncodeStrings(vals, Encoding::kPlain, &plain);
   EncodeStrings(vals, Encoding::kDict, &dict);
@@ -177,7 +179,9 @@ TEST(StringEncodingTest, ChooserPrefersPlainForHighCardinality) {
   Random rng(8);
   std::vector<std::string> vals;
   for (int i = 0; i < 200; ++i) vals.push_back(rng.NextString(12));
-  EXPECT_EQ(ChooseStringEncoding(vals), Encoding::kPlain);
+  EXPECT_EQ(ChooseStringEncoding(std::vector<std::string_view>(vals.begin(),
+                                                               vals.end())),
+            Encoding::kPlain);
 }
 
 TEST(BoolEncodingTest, RoundTripOddCount) {

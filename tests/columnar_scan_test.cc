@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/threadpool.h"
 #include "format/lakefile.h"
@@ -412,6 +413,77 @@ TEST(ColumnarScanTest, ParallelNarrowScanMatchesSerial) {
     EXPECT_EQ(got->rows_scanned, expect->rows_scanned);
     EXPECT_EQ(got->rows_matched, expect->rows_matched);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes of the write path: the whole LakeFile and the encoded
+// DataFileMeta (file stats) of a fixed mixed-type input are pinned by CRC32C,
+// so a change to how statistics are computed cannot silently change what is
+// stored. The data-file path is replaced by a constant before encoding.
+
+format::Schema GoldenSchema() {
+  return format::Schema{{"id", format::DataType::kInt64},
+                        {"tag", format::DataType::kString},
+                        {"score", format::DataType::kDouble},
+                        {"flag", format::DataType::kBool},
+                        {"gone", format::DataType::kString}};
+}
+
+/// Every type, NULLs in every column, an all-NULL column, empty strings and
+/// both signed zeros (which compare equal, so min/max keep the first seen).
+std::vector<format::Row> GoldenRows() {
+  Random rng(20240601);
+  std::vector<format::Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    format::Row row;
+    row.fields.assign(5, format::Value(std::monostate{}));  // all NULL
+    if (i % 11 != 0) row.fields[0] = int64_t{i * 3 - 400};
+    if (i % 5 == 0 && i % 7 != 0) {
+      row.fields[1] = std::string();
+    } else if (i % 7 != 0) {
+      row.fields[1] = "t-" + std::to_string(rng.Uniform(9));
+    }
+    if (i % 4 == 0 && i % 13 != 0) {
+      row.fields[2] = i % 8 == 0 ? -0.0 : 0.0;
+    } else if (i % 13 != 0) {
+      row.fields[2] = static_cast<double>(rng.Uniform(1000)) / 8.0;
+    }
+    if (i % 6 != 0) row.fields[3] = rng.OneIn(3);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(ColumnarScanTest, WritePathBytesAreGolden) {
+  format::LakeFileOptions options;
+  options.rows_per_group = 64;
+  format::LakeFileWriter writer(GoldenSchema(), options);
+  ASSERT_TRUE(writer.AppendBatch(GoldenRows()).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file->size(), 3048u);
+  EXPECT_EQ(Crc32c(ByteView(*file)), 2576978099u);
+
+  ColumnarFixture f;  // 128 rows per file, 64 rows per group
+  auto table = f.lakehouse->CreateTable("golden", GoldenSchema(),
+                                        PartitionSpec::None());
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Insert(GoldenRows()).ok());
+  auto files = (*table)->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files->size(), 3u);
+  std::sort(files->begin(), files->end(),
+            [](const DataFileMeta& a, const DataFileMeta& b) {
+              return format::CompareValues(*a.column_stats.at("id").min,
+                                           *b.column_stats.at("id").min) < 0;
+            });
+  Bytes encoded;
+  for (DataFileMeta meta : *files) {
+    meta.path = "golden";
+    meta.EncodeTo(&encoded);
+  }
+  EXPECT_EQ(encoded.size(), 380u);
+  EXPECT_EQ(Crc32c(ByteView(encoded)), 2094318245u);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include "common/random.h"
 #include "format/lakefile.h"
 #include "format/row_codec.h"
@@ -378,6 +382,186 @@ TEST(LakeFileProperty, RandomTablesRoundTrip) {
     for (size_t i = 0; i < rows.size(); ++i) {
       EXPECT_EQ((*all)[i], rows[i]) << "trial " << trial << " row " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// File-level statistics: the writer's single typed pass must give exactly
+// what a pass over the boxed rows gives.
+
+/// Oracle: file statistics computed from boxed rows with a std::set of
+/// Values, as the table layer derived them before the writer became their
+/// only source.
+std::vector<ColumnStats> BoxedFileStats(const Schema& schema,
+                                        const std::vector<Row>& rows) {
+  std::vector<ColumnStats> out;
+  if (rows.empty()) return out;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    ColumnStats s;
+    s.has_extended = true;
+    std::set<Value> distinct;
+    double total_width = 0.0;
+    for (const Row& row : rows) {
+      const Value& v = row.fields[c];
+      if (IsNull(v)) {
+        ++s.null_count;
+        continue;
+      }
+      if (!s.min.has_value() || CompareValues(v, *s.min) < 0) s.min = v;
+      if (!s.max.has_value() || CompareValues(v, *s.max) > 0) s.max = v;
+      distinct.insert(v);
+      switch (schema.field(c).type) {
+        case DataType::kBool:
+          total_width += 1.0;
+          break;
+        case DataType::kInt64:
+        case DataType::kDouble:
+          total_width += 8.0;
+          break;
+        case DataType::kString:
+          total_width += static_cast<double>(std::get<std::string>(v).size());
+          break;
+        case DataType::kNull:
+          break;
+      }
+    }
+    s.ndv = distinct.size();
+    uint64_t non_null = rows.size() - s.null_count;
+    s.avg_width =
+        non_null > 0 ? total_width / static_cast<double>(non_null) : 0.0;
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// Byte-level identity of two stats (a double's sign bit included).
+void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
+                     const std::string& where) {
+  auto bytes = [](const std::optional<Value>& v) {
+    Bytes b;
+    if (v.has_value()) EncodeValue(&b, *v);
+    return b;
+  };
+  EXPECT_EQ(bytes(got.min), bytes(want.min)) << where;
+  EXPECT_EQ(bytes(got.max), bytes(want.max)) << where;
+  EXPECT_EQ(got.has_extended, want.has_extended) << where;
+  EXPECT_EQ(got.null_count, want.null_count) << where;
+  EXPECT_EQ(got.ndv, want.ndv) << where;
+  EXPECT_EQ(got.avg_width, want.avg_width) << where;
+}
+
+/// The writer's file stats in field order.
+std::vector<ColumnStats> WriterFileStats(const Schema& schema,
+                                         const std::vector<Row>& rows,
+                                         LakeFileOptions options) {
+  LakeFileWriter writer(schema, options);
+  EXPECT_TRUE(writer.AppendBatch(rows).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  std::vector<ColumnStats> out;
+  for (const Field& field : schema.fields()) {
+    auto it = writer.file_stats().find(field.name);
+    if (it != writer.file_stats().end()) out.push_back(it->second);
+  }
+  EXPECT_TRUE(out.empty() || out.size() == schema.num_fields());
+  return out;
+}
+
+TEST(FileStatsTest, WriterMatchesBoxedPassOnRandomRows) {
+  const Schema schema{{"b", DataType::kBool},
+                      {"i", DataType::kInt64},
+                      {"d", DataType::kDouble},
+                      {"s", DataType::kString},
+                      {"none", DataType::kInt64}};
+  const std::vector<double> doubles = {-0.0, 0.0, 1.5, -2.25, 1e300};
+  const std::vector<std::string> strings = {"", "a", "bb",
+                                           std::string("a\0b", 3), "zz"};
+  const Value null{std::monostate{}};
+  Random rng(77);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Row> rows;
+    const size_t num_rows = rng.Uniform(300);
+    const uint64_t null_one_in = 2 + rng.Uniform(5);
+    const int sign = trial % 3;  // 0 mixed, 1 non-negative, 2 non-positive
+    for (size_t r = 0; r < num_rows; ++r) {
+      Row row;
+      row.fields.push_back(rng.OneIn(null_one_in) ? null
+                                                  : Value(rng.OneIn(2)));
+      row.fields.push_back(
+          rng.OneIn(null_one_in)
+              ? null
+              : Value(static_cast<int64_t>(rng.Uniform(40)) - 20));
+      double d = rng.OneIn(3) ? doubles[rng.Uniform(doubles.size())]
+                              : static_cast<double>(rng.Uniform(64)) / 4.0;
+      // Same-signed trials make a signed zero the min (or max) to tie on.
+      if ((sign == 1 && d < 0) || (sign == 2 && d > 0)) d = -d;
+      row.fields.push_back(rng.OneIn(null_one_in) ? null : Value(d));
+      row.fields.push_back(
+          rng.OneIn(null_one_in)
+              ? null
+              : Value(rng.OneIn(2) ? strings[rng.Uniform(strings.size())]
+                                   : rng.NextString(rng.Uniform(4))));
+      row.fields.push_back(null);  // all-NULL column
+      rows.push_back(std::move(row));
+    }
+    const std::vector<ColumnStats> want = BoxedFileStats(schema, rows);
+    for (size_t rows_per_group : {size_t{1}, size_t{3}, size_t{7},
+                                  size_t{64}, size_t{8192}}) {
+      LakeFileOptions options;
+      options.rows_per_group = rows_per_group;
+      const std::vector<ColumnStats> got =
+          WriterFileStats(schema, rows, options);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        ExpectSameStats(got[c], want[c],
+                        "trial " + std::to_string(trial) + " group " +
+                            std::to_string(rows_per_group) + " column " +
+                            schema.field(c).name);
+      }
+    }
+  }
+}
+
+TEST(FileStatsTest, FileStatsDoNotDependOnChunkStats) {
+  const Schema schema{{"x", DataType::kInt64}};
+  std::vector<Row> rows;
+  for (int64_t v : {5, 3, 9, 3}) rows.push_back(Row{{Value(v)}});
+  LakeFileOptions options;
+  options.enable_stats = false;
+  options.rows_per_group = 2;
+  const std::vector<ColumnStats> got = WriterFileStats(schema, rows, options);
+  ASSERT_EQ(got.size(), 1u);
+  ExpectSameStats(got[0], BoxedFileStats(schema, rows)[0], "no chunk stats");
+  EXPECT_TRUE(WriterFileStats(schema, {}, options).empty());
+}
+
+// NaN compares equal to every double: it decides min, max and NDV only when
+// it is the first value of the file, whichever row group the rest is in.
+TEST(FileStatsTest, NaNFollowsCompareValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Schema schema{{"d", DataType::kDouble}};
+  auto stats_of = [&](const std::vector<double>& values, size_t group) {
+    std::vector<Row> rows;
+    for (double v : values) rows.push_back(Row{{Value(v)}});
+    LakeFileOptions options;
+    options.rows_per_group = group;
+    return WriterFileStats(schema, rows, options).at(0);
+  };
+  for (size_t group : {size_t{1}, size_t{2}, size_t{8}}) {
+    ColumnStats trailing = stats_of({1.0, nan, 0.5, 1.0}, group);
+    EXPECT_EQ(std::get<double>(*trailing.min), 0.5);
+    EXPECT_EQ(std::get<double>(*trailing.max), 1.0);
+    EXPECT_EQ(trailing.ndv, 2u);
+
+    ColumnStats leading = stats_of({nan, 3.0, -1.0}, group);
+    EXPECT_TRUE(std::isnan(std::get<double>(*leading.min)));
+    EXPECT_TRUE(std::isnan(std::get<double>(*leading.max)));
+    EXPECT_EQ(leading.ndv, 1u);
+
+    // A later group that starts with NaN still contributes its numbers.
+    ColumnStats later = stats_of({2.0, 4.0, nan, -3.0, 2.0}, group);
+    EXPECT_EQ(std::get<double>(*later.min), -3.0);
+    EXPECT_EQ(std::get<double>(*later.max), 4.0);
+    EXPECT_EQ(later.ndv, 3u);
   }
 }
 

@@ -176,6 +176,34 @@ TEST(BlockDeviceTest, WriteReadAndFailure) {
   EXPECT_TRUE(dev.Read(100, 4).ok());
 }
 
+TEST(BlockDeviceTest, SmallWriteAtFreshOffsetStaysSmallInMemory) {
+  sim::SimClock clock;
+  BlockDevice dev(0, 0, 1ULL << 30, sim::MediaType::kNvmeSsd, &clock);
+  EXPECT_EQ(dev.resident_bytes(), 0u);
+  // A 1 KiB append at the start of a fresh extent far into the disk.
+  const uint64_t fresh = 700ULL << 20;
+  Bytes data(1024, 0x5a);
+  ASSERT_TRUE(dev.Write(fresh, ByteView(data)).ok());
+  EXPECT_GT(dev.resident_bytes(), 0u);
+  EXPECT_LT(dev.resident_bytes(), 8u * 1024);
+  auto read = dev.Read(fresh, data.size());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, data);
+
+  // Appends past the held pages grow them; the gap and the bytes past the
+  // last write read back as zeros.
+  ASSERT_TRUE(dev.Write(fresh + 10000, ByteView(data)).ok());
+  read = dev.Read(fresh, 200 * 1024);
+  ASSERT_TRUE(read.ok());
+  for (size_t i = 0; i < read->size(); ++i) {
+    const bool written = i < 1024 || (i >= 10000 && i < 11024);
+    ASSERT_EQ((*read)[i], written ? 0x5a : 0) << "byte " << i;
+  }
+  EXPECT_LT(dev.resident_bytes(), 32u * 1024);
+  dev.Reset();
+  EXPECT_EQ(dev.resident_bytes(), 0u);
+}
+
 TEST(StoragePoolTest, DistinctNodePlacement) {
   PoolFixture f;
   f.pool.AddCluster(/*nodes=*/3, /*disks_per_node=*/2, 1 << 20);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/random.h"
 #include "table/lakehouse.h"
+#include "workload/tpch.h"
 
 namespace streamlake::table {
 namespace {
@@ -32,13 +35,17 @@ struct LakehouseFixture {
   std::unique_ptr<MetadataStore> meta;
   std::unique_ptr<LakehouseService> lakehouse;
 
-  explicit LakehouseFixture(MetadataMode mode = MetadataMode::kAccelerated) {
+  explicit LakehouseFixture(
+      MetadataMode mode = MetadataMode::kAccelerated,
+      storage::RedundancyConfig redundancy =
+          storage::RedundancyConfig::Replication(3),
+      uint64_t stripe_unit = 4096) {
     pool.AddCluster(3, 2, 512 << 20);
     storage::PlogStoreConfig config;
     config.num_shards = 16;
     config.plog.capacity = 32 << 20;
-    config.plog.stripe_unit = 4096;
-    config.plog.redundancy = storage::RedundancyConfig::Replication(3);
+    config.plog.stripe_unit = stripe_unit;
+    config.plog.redundancy = redundancy;
     plogs = std::make_unique<storage::PlogStore>(&pool, config, &clock);
     objects = std::make_unique<storage::ObjectStore>(plogs.get(),
                                                      &object_index);
@@ -250,6 +257,87 @@ TEST(TableTest, FileStatsPruneNonPartitionColumns) {
   EXPECT_EQ(std::get<int64_t>(result->rows[0].fields[0]), 100);
   EXPECT_EQ(metrics.files_scanned, 1u);
   EXPECT_EQ(metrics.files_skipped, 9u);
+}
+
+int64_t CountRows(Table* table) {
+  query::QuerySpec spec;
+  spec.aggregates = {query::AggregateSpec::CountStar()};
+  auto result = table->Select(spec);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::get<int64_t>(result->rows[0].fields[0]) : -1;
+}
+
+/// EC(4,1) with 64 KiB stripe units: a data file of a few KiB stays in its
+/// PLog's pending stripe, so no device write advances the simulated clock
+/// between the files written by one call.
+std::unique_ptr<LakehouseFixture> ErasureCodedFixture() {
+  return std::make_unique<LakehouseFixture>(
+      MetadataMode::kAccelerated,
+      storage::RedundancyConfig::ErasureCoding(4, 1), 64 << 10);
+}
+
+/// A lineitem table of 1,000-row files.
+Table* CreateLineitem(LakehouseFixture* f) {
+  TableOptions options;
+  options.max_rows_per_file = 1000;
+  auto created = f->lakehouse->CreateTable(
+      "lineitem", workload::TpchLineitemGenerator::Schema(),
+      PartitionSpec::None(), &options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  return *created;
+}
+
+TEST(DataFileNamingTest, OneInsertWritesDistinctFilesUnderErasureCoding) {
+  auto f = ErasureCodedFixture();
+  Table* table = CreateLineitem(f.get());
+  workload::TpchLineitemGenerator gen;
+  ASSERT_TRUE(table->Insert(gen.NextBatch(10000)).ok());
+  auto files = table->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->size(), 10u);
+  std::set<std::string> paths;
+  for (const DataFileMeta& file : *files) paths.insert(file.path);
+  EXPECT_EQ(paths.size(), 10u);
+  EXPECT_EQ(CountRows(table), 10000);
+
+  // A second Insert draws from the same sequence: no path repeats.
+  ASSERT_TRUE(table->Insert(gen.NextBatch(2000)).ok());
+  files = table->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->size(), 12u);
+  EXPECT_EQ(CountRows(table), 12000);
+}
+
+TEST(DataFileNamingTest, CopyOnWriteUpdateAcrossTwoFilesKeepsRows) {
+  auto f = ErasureCodedFixture();
+  Table* table = CreateLineitem(f.get());
+  workload::TpchLineitemGenerator gen;
+  ASSERT_TRUE(table->Insert(gen.NextBatch(2000)).ok());
+  ASSERT_EQ(CountRows(table), 2000);
+
+  // Every shipmode occurs in both files, so the rewrite replaces both.
+  query::Conjunction where;
+  where.Add(query::Predicate::Eq("l_shipmode",
+                                 format::Value(std::string("AIR"))));
+  auto updated = table->Update(where, "l_quantity", format::Value(int64_t{0}));
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_GT(*updated, 0u);
+  EXPECT_EQ(CountRows(table), 2000);
+  auto files = table->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->size(), 2u);
+
+  // A restart: a fresh service and Table over the same catalog start their
+  // file sequence again, yet must not overwrite a committed file.
+  LakehouseService restarted(f->meta.get(), f->objects.get(), &f->clock,
+                             &f->compute_link);
+  auto again = restarted.GetTable("lineitem");
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE((*again)->Insert(gen.NextBatch(500)).ok());
+  EXPECT_EQ(CountRows(*again), 2500);
+  files = (*again)->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->size(), 3u);
 }
 
 TEST(TableTest, PushdownReducesComputeTraffic) {
